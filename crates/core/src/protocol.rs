@@ -50,8 +50,9 @@ use pba_net::wire::{self, step, tag};
 use pba_net::{Envelope, Machine, Network, PartyId, Report, TagBreakdown, Transport, WireMsg};
 use pba_srds::cache::CacheStats;
 use pba_srds::traits::Srds;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 /// How the `f_ae-comm` tree is established.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -542,6 +543,14 @@ pub struct BytesRoundOutcome {
     pub outputs: Vec<Option<Vec<u8>>>,
     /// Size of the certificate, if one was produced.
     pub certificate_len: Option<usize>,
+    /// Logical certificate checks in steps 7–8: one per honest receiver
+    /// that checked a delivered certificate (its own copy or a spread
+    /// one). This is the per-party compute the protocol asks for.
+    pub cert_checks: usize,
+    /// Physical [`Srds::verify`] calls steps 7–8 made: byte-identical
+    /// copies share one verdict, so this counts distinct certificates that
+    /// decode for this epoch, not receivers.
+    pub cert_verifications: usize,
 }
 
 /// How [`Service::try_run_stream`] schedules consecutive instances.
@@ -575,6 +584,9 @@ impl Encode for MvInput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.epoch.encode(buf);
         self.value.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.epoch.encoded_len() + self.value.encoded_len()
     }
 }
 
@@ -683,6 +695,9 @@ impl Encode for ValueSeed {
         self.value.encode(buf);
         self.seed.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.epoch.encoded_len() + self.value.encoded_len() + self.seed.encoded_len()
+    }
 }
 
 impl Decode for ValueSeed {
@@ -720,6 +735,12 @@ impl Encode for Certificate {
         self.value.encode(buf);
         self.seed.encode(buf);
         self.sig.encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.epoch.encoded_len()
+            + self.value.encoded_len()
+            + self.seed.encoded_len()
+            + self.sig.encoded_len()
     }
 }
 
@@ -1767,7 +1788,8 @@ where
         let scheme = self.scheme;
         let pp = &self.pp;
         let keyboard = &self.keyboard;
-        let verify_triple = |bytes: &[u8]| -> Option<Vec<u8>> {
+        let mut cert_verifications = 0;
+        let mut verify_triple = |bytes: &[u8]| -> Option<Vec<u8>> {
             let cert = wire::decode_msg::<Certificate>(bytes).ok()?;
             if cert.epoch != epoch {
                 return None; // cross-epoch replay
@@ -1778,9 +1800,24 @@ where
                 value: cert.value.clone(),
                 seed: cert.seed,
             });
+            cert_verifications += 1;
             scheme
                 .verify(pp, keyboard, &signed, &sig)
                 .then_some(cert.value)
+        };
+        // The verdict is a pure function of (pp, key board, epoch, bytes),
+        // and only the bytes vary within this call: each distinct byte
+        // string is verified once, and every receiver of a byte-identical
+        // copy gets that verdict (DESIGN.md §4b). Keyed by full byte
+        // equality, so the memo never answers for bytes it did not verify.
+        let mut verdicts: HashMap<Rc<Vec<u8>>, Option<Vec<u8>>> = HashMap::new();
+        let mut cert_checks = 0;
+        let mut check = |bytes: &Rc<Vec<u8>>| -> Option<Vec<u8>> {
+            cert_checks += 1;
+            verdicts
+                .entry(Rc::clone(bytes))
+                .or_insert_with(|| verify_triple(bytes))
+                .clone()
         };
 
         if let Some(result) = &triple_result {
@@ -1790,9 +1827,7 @@ where
                     continue; // down: cannot produce an output this epoch
                 }
                 if let Some(bytes) = &result.per_party[p.index()] {
-                    if let Some(v_out) = verify_triple(bytes) {
-                        outputs[p.index()] = Some(v_out);
-                    }
+                    outputs[p.index()] = check(bytes);
                 }
             }
             for &p in &self.honest {
@@ -1828,9 +1863,7 @@ where
                         tag::SPREAD,
                     );
                     if outputs[receiver.index()].is_none() {
-                        if let Some(v_out) = verify_triple(bytes) {
-                            outputs[receiver.index()] = Some(v_out);
-                        }
+                        outputs[receiver.index()] = check(bytes);
                     }
                 }
             }
@@ -1845,6 +1878,8 @@ where
             value,
             outputs,
             certificate_len,
+            cert_checks,
+            cert_verifications,
         }
     }
 

@@ -151,6 +151,17 @@ pub trait Encode {
         self.encode(&mut buf);
         buf.len()
     }
+
+    /// Appends the encodings of `items` back to back: the body of a
+    /// length-prefixed sequence. Bytes override this with one copy.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Deserialization from the wire format.
@@ -161,6 +172,22 @@ pub trait Decode: Sized {
     ///
     /// Any [`CodecError`] on malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Decodes `len` consecutive values: the body of a length-prefixed
+    /// sequence whose prefix the caller already bounded by
+    /// [`MAX_SEQ_LEN`]. Bytes override this with one copy.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed input.
+    fn decode_seq(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        // Capacity is capped: `len` is attacker-chosen, the input is not.
+        let mut out = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes a value into a fresh byte vector.
@@ -205,7 +232,30 @@ macro_rules! impl_int {
     };
 }
 
-impl_int!(u8, u16, u32, u64, i64);
+impl_int!(u16, u32, u64, i64);
+
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn encode_slice(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(r.take(1)?[0])
+    }
+    fn decode_seq(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, CodecError> {
+        // `take` fails before anything is allocated when `len` overruns
+        // the input.
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -279,9 +329,10 @@ impl Decode for [u8; 32] {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         write_varint(buf, self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 
@@ -291,11 +342,7 @@ impl<T: Decode> Decode for Vec<T> {
         if len > MAX_SEQ_LEN {
             return Err(CodecError::LengthOverflow(len));
         }
-        let mut out = Vec::with_capacity((len as usize).min(1024));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_seq(r, len as usize)
     }
 }
 
@@ -308,6 +355,9 @@ impl<T: Encode> Encode for Option<T> {
                 v.encode(buf);
             }
         }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Encode::encoded_len)
     }
 }
 
@@ -326,6 +376,9 @@ impl<A: Encode, B: Encode> Encode for (A, B) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
 }
 
 impl<A: Decode, B: Decode> Decode for (A, B) {
@@ -340,6 +393,9 @@ impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
         self.1.encode(buf);
         self.2.encode(buf);
     }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
+    }
 }
 
 impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
@@ -352,6 +408,9 @@ impl Encode for String {
     fn encode(&self, buf: &mut Vec<u8>) {
         write_varint(buf, self.len() as u64);
         buf.extend_from_slice(self.as_bytes());
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! During a `π_ba` session the *same* aggregation certificate is verified
 //! many times: [`crate::snark::SnarkSrds`] re-checks every incoming
-//! `Agg` certificate inside `Aggregate₁` at **every** tree level, and the
-//! final root certificate is verified once per receiving party during the
-//! PRF spread — Θ(n) verifications of byte-identical input. PCD
-//! verification is deterministic for a fixed CRS, so its verdict can be
-//! memoized: the cache maps a digest of (CRS id, statement, proof) to the
-//! boolean verdict.
+//! `Agg` certificate inside `Aggregate₁` at **every** tree level, and
+//! every honest supreme-committee member re-verifies the previous
+//! instance's root certificate during chained validation. (Steps 7–8 of
+//! `π_ba` already share one verification per distinct certificate
+//! before the scheme is asked.) PCD verification is deterministic for a
+//! fixed CRS, so its verdict can be memoized: the cache maps a digest of
+//! (CRS id, statement, proof) to the boolean verdict.
 //!
 //! The cache lives inside the scheme value (one per session in practice),
 //! so verdicts never leak across CRS instances; the hit/miss counters are

@@ -1,6 +1,9 @@
 //! Property-based tests over the cryptographic substrate.
 
-use pba_crypto::codec::{decode_from_slice, encode_to_vec};
+use pba_crypto::codec::{
+    decode_from_slice, encode_to_vec, read_varint, write_varint, CodecError, Decode, Encode,
+    Reader, MAX_SEQ_LEN,
+};
 use pba_crypto::field::{Fp, MODULUS};
 use pba_crypto::lamport::{LamportKeyPair, LamportParams};
 use pba_crypto::merkle::MerkleTree;
@@ -92,8 +95,71 @@ proptest! {
         v in proptest::collection::vec((any::<u64>(), proptest::collection::vec(any::<u8>(), 0..16)), 0..16),
     ) {
         let encoded = encode_to_vec(&v);
+        prop_assert_eq!(v.encoded_len(), encoded.len());
         let decoded: Vec<(u64, Vec<u8>)> = decode_from_slice(&encoded).unwrap();
         prop_assert_eq!(decoded, v);
+    }
+
+    #[test]
+    fn codec_encoded_len_is_exact(
+        words in proptest::collection::vec(any::<u16>(), 0..200),
+        text in proptest::collection::vec(any::<u8>(), 0..300),
+        present in any::<bool>(),
+        flag in any::<bool>(),
+    ) {
+        let text = String::from_utf8_lossy(&text).into_owned();
+        let value = (
+            Some(words.clone()).filter(|_| present),
+            (text, flag),
+            vec![vec![words.clone()], Vec::new()],
+        );
+        let encoded = encode_to_vec(&value);
+        prop_assert_eq!(value.encoded_len(), encoded.len());
+        prop_assert_eq!(decode_from_slice(&encoded), Ok(value));
+    }
+
+    #[test]
+    fn codec_bulk_bytes_match_the_per_byte_reference(
+        len in prop_oneof![Just(0usize), 1usize..200, 1025usize..4000],
+        seed in any::<[u8; 8]>(),
+        cut in any::<u64>(),
+        excess in 1u64..(1 << 40),
+    ) {
+        let mut data = vec![0u8; len];
+        Prg::from_seed_bytes(&seed).fill_bytes_scalar(&mut data);
+
+        // Reference encoding: the varint length, then one push per byte.
+        let mut reference = Vec::new();
+        write_varint(&mut reference, len as u64);
+        for &b in &data {
+            reference.push(b);
+        }
+        let encoded = encode_to_vec(&data);
+        prop_assert_eq!(&encoded, &reference);
+        prop_assert_eq!(data.encoded_len(), encoded.len());
+
+        // Reference decoding: one `u8::decode` per byte.
+        let mut r = Reader::new(&reference);
+        let n = read_varint(&mut r).unwrap() as usize;
+        let per_byte: Vec<u8> = (0..n).map(|_| u8::decode(&mut r).unwrap()).collect();
+        prop_assert_eq!(&per_byte, &data);
+        prop_assert_eq!(decode_from_slice::<Vec<u8>>(&encoded), Ok(data.clone()));
+
+        // Any strict prefix is truncated, never a shorter vector.
+        let cut = (cut % encoded.len() as u64) as usize;
+        prop_assert_eq!(
+            decode_from_slice::<Vec<u8>>(&encoded[..cut]),
+            Err(CodecError::UnexpectedEnd)
+        );
+
+        // A length past the sanity bound is refused before the body is read.
+        let mut hostile = Vec::new();
+        write_varint(&mut hostile, MAX_SEQ_LEN + excess);
+        hostile.extend_from_slice(&data);
+        prop_assert_eq!(
+            decode_from_slice::<Vec<u8>>(&hostile),
+            Err(CodecError::LengthOverflow(MAX_SEQ_LEN + excess))
+        );
     }
 
     #[test]
